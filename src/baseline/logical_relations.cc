@@ -5,7 +5,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "logic/containment.h"
+#include "logic/memo.h"
 #include "util/string_util.h"
 
 namespace semap::baseline {
@@ -378,27 +378,31 @@ LogicalRelation ChaseTable(const rel::RelationalSchema& schema,
 }
 
 std::vector<LogicalRelation> LogicalRelationsOf(
-    const rel::RelationalSchema& schema, const ChaseOptions& options) {
+    const rel::RelationalSchema& schema, const ChaseOptions& options,
+    logic::EquivCache* cache) {
+  logic::Interner local_interner;
+  logic::EquivCache local_cache(&local_interner);
+  if (cache == nullptr) cache = &local_cache;
   std::vector<LogicalRelation> out;
+  std::vector<logic::CqRef> kept;  // interned bodies, parallel to `out`
   for (const rel::Table& table : schema.tables()) {
     LogicalRelation lr = ChaseTable(schema, table.name(), options);
     // Skip exact duplicates (same query up to renaming): a table fully
     // subsumed by another's chase still yields its own logical relation in
     // Clio, so only *identical* ones (same atom count and mutual
-    // containment over full heads) are merged.
+    // containment of the head-less bodies) are merged.
+    logic::ConjunctiveQuery q;
+    q.body = lr.atoms;
+    const logic::CqRef ref = cache->Intern(q);
     bool duplicate = false;
-    logic::ConjunctiveQuery q1;
-    q1.body = lr.atoms;
-    for (const LogicalRelation& existing : out) {
-      if (existing.atoms.size() != lr.atoms.size()) continue;
-      logic::ConjunctiveQuery q2;
-      q2.body = existing.atoms;
-      if (logic::Equivalent(q1, q2)) {
-        duplicate = true;
-        break;
-      }
+    for (size_t k = 0; k < out.size() && !duplicate; ++k) {
+      duplicate = out[k].atoms.size() == lr.atoms.size() &&
+                  cache->EquivalentRefs(kept[k], ref, /*minimized=*/false);
     }
-    if (!duplicate) out.push_back(std::move(lr));
+    if (!duplicate) {
+      out.push_back(std::move(lr));
+      kept.push_back(ref);
+    }
   }
   return out;
 }

@@ -12,6 +12,10 @@
 #include "semantics/fd.h"
 #include "relational/schema.h"
 
+namespace semap::logic {
+class EquivCache;
+}  // namespace semap::logic
+
 namespace semap::baseline {
 
 /// \brief One logical relation: a join query over tables, produced by
@@ -89,9 +93,13 @@ LogicalRelation ChaseTable(const rel::RelationalSchema& schema,
                            const ChaseOptions& options = {});
 
 /// \brief All logical relations of a schema (one per table), with exact
-/// duplicates (same atom multiset up to variable renaming) removed.
+/// duplicates (same atom multiset up to variable renaming) removed. The
+/// duplicate checks run through `cache` when given — a caller that
+/// compares further queries shares its interner and counters — and
+/// through a cache local to the call otherwise.
 std::vector<LogicalRelation> LogicalRelationsOf(
-    const rel::RelationalSchema& schema, const ChaseOptions& options = {});
+    const rel::RelationalSchema& schema, const ChaseOptions& options = {},
+    logic::EquivCache* cache = nullptr);
 
 }  // namespace semap::baseline
 

@@ -1,9 +1,12 @@
 #include "baseline/ric_mapper.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <utility>
 
 #include "exec/explain_capture.h"
+#include "logic/memo.h"
 
 namespace semap::baseline {
 
@@ -75,14 +78,36 @@ Result<std::vector<RicMapping>> GenerateRicMappings(
                               corr.target.ToString());
     }
   }
+  // One equivalence engine for the call: the logical-relation dedup and
+  // the mapping dedup below share its interner, signatures and memos.
+  logic::Interner interner;
+  logic::EquivCache equiv(&interner);
   std::vector<LogicalRelation> source_lrs =
-      LogicalRelationsOf(source, options.chase);
+      LogicalRelationsOf(source, options.chase, &equiv);
   std::vector<LogicalRelation> target_lrs =
-      LogicalRelationsOf(target, options.chase);
+      LogicalRelationsOf(target, options.chase, &equiv);
 
   ctx.Count("baseline.logical_relations",
             static_cast<int64_t>(source_lrs.size() + target_lrs.size()));
+  // PruneJoins depends only on the relation and its protected tables, and
+  // every partner on the other side asks again: memoize per relation.
+  using PruneMemo =
+      std::vector<std::map<std::set<std::string>, std::vector<Atom>>>;
+  PruneMemo source_pruned(source_lrs.size());
+  PruneMemo target_pruned(target_lrs.size());
+  auto body_of = [&](PruneMemo& memo, size_t lr,
+                     const std::vector<Atom>& atoms,
+                     const std::set<std::string>& tables) {
+    if (!options.prune_unnecessary_joins) return atoms;
+    auto it = memo[lr].find(tables);
+    if (it == memo[lr].end()) {
+      it = memo[lr].emplace(tables, PruneJoins(atoms, tables)).first;
+    }
+    return it->second;
+  };
   std::vector<RicMapping> mappings;
+  // Interned sides of each kept mapping's tgd, parallel to `mappings`.
+  std::vector<std::pair<logic::CqRef, logic::CqRef>> mapping_refs;
   size_t pairs_tried = 0;
   const size_t total_pairs = source_lrs.size() * target_lrs.size();
   // Emitted on every exit path (cap hit, exhaustion, completion).
@@ -90,12 +115,15 @@ Result<std::vector<RicMapping>> GenerateRicMappings(
     ctx.Count("baseline.pairs_examined", static_cast<int64_t>(pairs_tried));
     ctx.Count("baseline.mappings_emitted",
               static_cast<int64_t>(mappings.size()));
+    ctx.Count("baseline.hom_step_capped", equiv.stats().hom_step_capped);
     span.AddAttr("mappings", static_cast<int64_t>(mappings.size()));
     span.End();
   };
-  for (const LogicalRelation& slr : source_lrs) {
+  for (size_t si = 0; si < source_lrs.size(); ++si) {
+    const LogicalRelation& slr = source_lrs[si];
     if (ctx.Exhausted()) break;
-    for (const LogicalRelation& tlr : target_lrs) {
+    for (size_t ti = 0; ti < target_lrs.size(); ++ti) {
+      const LogicalRelation& tlr = target_lrs[ti];
       if (!ctx.Charge()) break;
       ++pairs_tried;
       // Covered correspondences: both ends present in the pair.
@@ -121,19 +149,19 @@ Result<std::vector<RicMapping>> GenerateRicMappings(
         src_tables.insert(correspondences[i].source.table);
         tgt_tables.insert(correspondences[i].target.table);
       }
-      src_q.body = options.prune_unnecessary_joins
-                       ? PruneJoins(slr.atoms, src_tables)
-                       : slr.atoms;
-      tgt_q.body = options.prune_unnecessary_joins
-                       ? PruneJoins(tlr.atoms, tgt_tables)
-                       : tlr.atoms;
+      src_q.body = body_of(source_pruned, si, slr.atoms, src_tables);
+      tgt_q.body = body_of(target_pruned, ti, tlr.atoms, tgt_tables);
 
       RicMapping mapping;
       mapping.tgd = logic::AlignTgd(src_q, tgt_q);
       for (size_t i : covered) mapping.covered.push_back(correspondences[i]);
+      const logic::CqRef src_ref = equiv.Intern(mapping.tgd.source);
+      const logic::CqRef tgt_ref = equiv.Intern(mapping.tgd.target);
       bool duplicate = false;
-      for (const RicMapping& existing : mappings) {
-        if (logic::EquivalentTgds(existing.tgd, mapping.tgd)) {
+      for (size_t k = 0; k < mappings.size(); ++k) {
+        if (logic::EquivalentTgds(mappings[k].tgd, mapping_refs[k].first,
+                                  mapping_refs[k].second, mapping.tgd,
+                                  src_ref, tgt_ref, equiv)) {
           duplicate = true;
           break;
         }
@@ -162,6 +190,7 @@ Result<std::vector<RicMapping>> GenerateRicMappings(
           ctx.provenance->RecordDerivation(std::move(derivation));
         }
         mappings.push_back(std::move(mapping));
+        mapping_refs.emplace_back(src_ref, tgt_ref);
         if (mappings.size() >= options.max_mappings) {
           finish();
           return mappings;

@@ -49,6 +49,9 @@ struct UnitDone {
   int64_t tracer_offset_ns = 0;
   std::unique_ptr<obs::Metrics> metrics;
   std::unique_ptr<obs::ProvenanceRecorder> provenance;
+  /// The kept attempt's governor chain tripped after a shutdown request:
+  /// its result may be cut short by the interrupt, not by a real budget.
+  bool cut_by_shutdown = false;
 };
 
 /// Watchdog thread for per-unit deadlines. Workers lease a watch on
@@ -240,6 +243,9 @@ UnitDone RunUnit(const sem::AnnotatedSchema& source,
                        !shared->breaker_tripped.load(std::memory_order_relaxed) &&
                        !CancelRequested(shared);
     if (!retry) {
+      done.cut_by_shutdown = shared->interrupt_root != nullptr &&
+                             unit_governor.exhausted() &&
+                             shared->interrupt_root->exhausted();
       done.work = std::move(work);
       done.provenance = std::move(attempt_provenance);
       if (done.sink != nullptr) {
@@ -334,10 +340,12 @@ void WorkerLoop(const sem::AnnotatedSchema& source,
     std::lock_guard<std::mutex> lock(shared->mu);
     // A unit that lost its semantic tiers while a shutdown was pending
     // was (very likely) unwound by the interrupt root, not by a real
-    // exhaustion: discard it — neither journaled, nor merged, nor
-    // counted against the breaker — so the resumed run recomputes the
-    // table instead of caching a cancellation artifact.
-    if (CancelRequested(shared) && done.work.transient_failure) {
+    // exhaustion; one whose governor chain tripped on the interrupt may
+    // hold a partial result. Discard both — neither journaled, nor
+    // merged, nor counted against the breaker — so the resumed run
+    // recomputes the table instead of caching a cancellation artifact.
+    if (CancelRequested(shared) &&
+        (done.work.transient_failure || done.cut_by_shutdown)) {
       shared->interrupted = true;
       if (ctx.events != nullptr) {
         ctx.events->Emit("unit_interrupted",
@@ -491,10 +499,11 @@ Result<SupervisorResult> RunSupervisedPipeline(
         Clock::now() + std::chrono::milliseconds(options.pipeline.deadline_ms);
   }
 
-  // Shutdown plumbing: every unit governor parents to this root, and a
-  // small monitor thread trips it as soon as the caller's cancel flag
-  // reads true, unwinding every running cascade at its next charge.
+  // Shutdown plumbing: every unit governor parents to this root, which
+  // reads the caller's cancel flag on every charge, so a shutdown request
+  // unwinds every running cascade at its next charge.
   ResourceGovernor interrupt_root;
+  interrupt_root.set_cancel_flag(options.cancel);
 
   Shared shared;
   shared.journal = journal.get();
@@ -502,26 +511,10 @@ Result<SupervisorResult> RunSupervisedPipeline(
   shared.interrupt_root = options.cancel != nullptr ? &interrupt_root : nullptr;
 
   {
-    // Scoped so the watchdog and monitor (when present) are joined
-    // before assembly.
+    // Scoped so the watchdog (when present) is joined before assembly.
     std::unique_ptr<Watchdog> watchdog;
     if (options.unit_deadline_ms >= 0 && !units.empty()) {
       watchdog = std::make_unique<Watchdog>();
-    }
-    std::atomic<bool> monitor_stop{false};
-    std::thread monitor;
-    if (options.cancel != nullptr && !units.empty()) {
-      monitor = std::thread([&interrupt_root, &monitor_stop,
-                             cancel = options.cancel] {
-        while (!monitor_stop.load(std::memory_order_relaxed)) {
-          if (cancel->load(std::memory_order_relaxed)) {
-            interrupt_root.Cancel(Status::DeadlineExceeded(
-                "run interrupted (shutdown requested)"));
-            return;
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        }
-      });
     }
     const size_t jobs = std::max<size_t>(1, options.jobs);
     const size_t pool = std::min(jobs, units.size());
@@ -538,10 +531,6 @@ Result<SupervisorResult> RunSupervisedPipeline(
         });
       }
       for (std::thread& worker : workers) worker.join();
-    }
-    if (monitor.joinable()) {
-      monitor_stop.store(true, std::memory_order_relaxed);
-      monitor.join();
     }
   }
 

@@ -68,7 +68,9 @@ bool EquivCache::ContainsImpl(CqRef super, CqRef sub) {
     }
   }
   ++stats_.hom_searches;
-  bool verdict = logic::Contains(*super, *sub);
+  HomStats hom;
+  bool verdict = logic::Contains(*super, *sub, &hom);
+  stats_.hom_step_capped += hom.step_capped;
   if (use_memo) contains_.emplace(std::make_pair(super, sub), verdict);
   return verdict;
 }

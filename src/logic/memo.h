@@ -39,6 +39,7 @@ struct EquivCacheStats {
   int64_t memo_hits = 0;        // pointer-equality or cached-verdict hits
   int64_t signature_skips = 0;  // decided by signature alone
   int64_t hom_searches = 0;     // full homomorphism searches still run
+  int64_t hom_step_capped = 0;  // of those, answered by the step bound
 };
 
 class EquivCache {

@@ -131,7 +131,7 @@ Tgd AlignTgd(const ConjunctiveQuery& source_in,
              AlignQuery(target_in, tau, "t_")};
 }
 
-bool EquivalentTgds(const Tgd& a, const Tgd& b) {
+bool EquivalentTgds(const Tgd& a, const Tgd& b, HomStats* stats) {
   if (a.source.head.size() != b.source.head.size() ||
       a.target.head.size() != b.target.head.size() ||
       b.source.head.size() != b.target.head.size()) {
@@ -148,24 +148,12 @@ bool EquivalentTgds(const Tgd& a, const Tgd& b) {
       permuted.source.head[i] = b.source.head[perm[i]];
       permuted.target.head[i] = b.target.head[perm[i]];
     }
-    if (Equivalent(a.source, permuted.source) &&
-        Equivalent(a.target, permuted.target)) {
+    if (Equivalent(a.source, permuted.source, stats) &&
+        Equivalent(a.target, permuted.target, stats)) {
       return true;
     }
   } while (std::next_permutation(perm.begin(), perm.end()));
   return false;
-}
-
-bool EquivalentTgds(const Tgd& a, const Tgd& b, EquivCache* cache) {
-  if (cache == nullptr) return EquivalentTgds(a, b);
-  if (a.source.head.size() != b.source.head.size() ||
-      a.target.head.size() != b.target.head.size() ||
-      b.source.head.size() != b.target.head.size()) {
-    return false;
-  }
-  return EquivalentTgds(a, cache->Intern(a.source), cache->Intern(a.target),
-                        b, cache->Intern(b.source), cache->Intern(b.target),
-                        *cache);
 }
 
 bool EquivalentTgds(const Tgd& a, CqRef a_src, CqRef a_tgt, const Tgd& b,

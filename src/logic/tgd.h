@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "logic/containment.h"
 #include "logic/cq.h"
 #include "logic/interner.h"
 
@@ -32,23 +33,19 @@ struct Tgd {
 
 /// \brief Logical equivalence of mappings: the source sides are equivalent
 /// CQs and the target sides are equivalent CQs, under the same frontier.
-bool EquivalentTgds(const Tgd& a, const Tgd& b);
+/// `stats` (optional) accumulates the homomorphism searches run.
+bool EquivalentTgds(const Tgd& a, const Tgd& b, HomStats* stats = nullptr);
 
-/// Same verdict through an EquivCache (logic/memo.h): the per-side
-/// equivalence checks are memoized and signature-pruned, and inequivalent
-/// pairs are rejected up front by comparing body predicate *sets* (bloom
-/// masks) — equivalence forces equal sets on each side, and frontier
-/// permutations never change a predicate. Sets, not multisets: AlignTgd's
-/// head substitution can merge variables and leave redundant atoms, so the
-/// sides are not cores and multiset equality is not implied. A null cache
-/// falls back to the plain overload.
-bool EquivalentTgds(const Tgd& a, const Tgd& b, EquivCache* cache);
-
-/// Ref-accelerated form of the cached overload: `a_src`/`a_tgt` and
+/// Same verdict through an EquivCache (logic/memo.h): `a_src`/`a_tgt` and
 /// `b_src`/`b_tgt` must be `cache.Intern(...)` handles of the matching
-/// sides of `a` and `b`. Verdicts are identical; the point is that a dedup
-/// loop interns each tgd's sides once and reuses the handles across every
-/// comparison instead of re-hashing both queries per call.
+/// sides of `a` and `b`, so a dedup loop interns each tgd's sides once and
+/// reuses the handles across every comparison. The per-side equivalence
+/// checks are memoized and signature-pruned, and inequivalent pairs are
+/// rejected up front by comparing body predicate *sets* (bloom masks) —
+/// equivalence forces equal sets on each side, and frontier permutations
+/// never change a predicate. Sets, not multisets: AlignTgd's head
+/// substitution can merge variables and leave redundant atoms, so the
+/// sides are not cores and multiset equality is not implied.
 bool EquivalentTgds(const Tgd& a, CqRef a_src, CqRef a_tgt, const Tgd& b,
                     CqRef b_src, CqRef b_tgt, EquivCache& cache);
 

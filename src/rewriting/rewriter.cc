@@ -257,6 +257,7 @@ class Engine {
   int64_t memo_hits_ = 0;
   int64_t dup_skips_ = 0;
   int64_t normalize_misses_ = 0;
+  logic::HomStats hom_;  // searches run here, outside the EquivCache
 };
 
 void Engine::Search(size_t atom_index) {
@@ -572,7 +573,7 @@ Result<std::vector<ConjunctiveQuery>> Engine::Run() {
       ++dup_skips_;
       continue;
     }
-    ConjunctiveQuery minimized = logic::Minimize(std::move(results_[i]));
+    ConjunctiveQuery minimized = logic::Minimize(std::move(results_[i]), &hom_);
     bool ok = true;
     for (const std::string& table : options_.required_tables) {
       bool found = false;
@@ -684,7 +685,7 @@ Result<std::vector<ConjunctiveQuery>> Engine::Run() {
       ConjunctiveQuery norm = normalize(q);
       bool duplicate = false;
       for (const ConjunctiveQuery& kept : unique_norm) {
-        if (logic::Equivalent(kept, norm)) {
+        if (logic::Equivalent(kept, norm, &hom_)) {
           duplicate = true;
           break;
         }
@@ -699,8 +700,8 @@ Result<std::vector<ConjunctiveQuery>> Engine::Run() {
       for (size_t i = 0; i < unique.size(); ++i) {
         for (size_t j = 0; j < unique.size(); ++j) {
           if (i == j) continue;
-          if (logic::Contains(unique_norm[j], unique_norm[i]) &&
-              !logic::Contains(unique_norm[i], unique_norm[j])) {
+          if (logic::Contains(unique_norm[j], unique_norm[i], &hom_) &&
+              !logic::Contains(unique_norm[i], unique_norm[j], &hom_)) {
             keep[i] = false;
             break;
           }
@@ -723,6 +724,9 @@ Result<std::vector<ConjunctiveQuery>> Engine::Run() {
                  (stats_after.memo_hits - stats_before.memo_hits));
   ctx_.Count("rewriting.signature_skips",
              stats_after.signature_skips - stats_before.signature_skips);
+  ctx_.Count("rewriting.hom_step_capped",
+             hom_.step_capped +
+                 (stats_after.hom_step_capped - stats_before.hom_step_capped));
   ctx_.Count("rewriting.arena_bytes",
              static_cast<int64_t>(session_.arena_bytes() - arena_before));
   return out;

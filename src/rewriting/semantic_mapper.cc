@@ -97,9 +97,12 @@ Result<std::vector<GeneratedMapping>> GenerateMappings(
   SEMAP_ASSIGN_OR_RETURN(std::vector<InverseRule> target_rules,
                          InverseRulesForSchema(target, &run_factory));
 
+  // Homomorphism searches run here, outside the rewriting sessions'
+  // caches (normalizer minimization, uncached tgd comparisons).
+  logic::HomStats mapper_hom;
   // Normalizers for rewriting comparison: chase under the schema's RICs,
   // key FDs and CM-derived FDs, then minimize.
-  auto make_normalizer = [](const sem::AnnotatedSchema& side) {
+  auto make_normalizer = [&mapper_hom](const sem::AnnotatedSchema& side) {
     std::vector<baseline::ColumnFd> fds;
     for (const sem::TableFd& fd : sem::DeriveSchemaFds(side)) {
       fds.push_back(baseline::ColumnFd{fd.table, fd.lhs, fd.rhs});
@@ -119,9 +122,11 @@ Result<std::vector<GeneratedMapping>> GenerateMappings(
     baseline::ChaseOptions chase_opts;
     chase_opts.apply_rics = false;
     chase_opts.extra_fds_complete = true;
-    return [schema, fds, cross, chase_opts](const ConjunctiveQuery& q) {
+    return [schema, fds, cross, chase_opts,
+            hom = &mapper_hom](const ConjunctiveQuery& q) {
       return logic::Minimize(baseline::ChaseQueryWithConstraints(
-          *schema, q, fds, cross, chase_opts));
+                                 *schema, q, fds, cross, chase_opts),
+                             hom);
     };
   };
   auto source_normalize = make_normalizer(source);
@@ -244,7 +249,8 @@ Result<std::vector<GeneratedMapping>> GenerateMappings(
                         mapping.variants[vi], variant_refs[vi].first,
                         variant_refs[vi].second, tgd, tgd_src, tgd_tgt,
                         *tgd_cache)
-                  : logic::EquivalentTgds(mapping.variants[vi], tgd);
+                  : logic::EquivalentTgds(mapping.variants[vi], tgd,
+                                           &mapper_hom);
           if (equal) {
             duplicate = true;
             break;
@@ -268,7 +274,8 @@ Result<std::vector<GeneratedMapping>> GenerateMappings(
                                       mapping_refs[mi].second, mapping.tgd,
                                       variant_refs.front().first,
                                       variant_refs.front().second, *tgd_cache)
-              : logic::EquivalentTgds(mappings[mi].tgd, mapping.tgd);
+              : logic::EquivalentTgds(mappings[mi].tgd, mapping.tgd,
+                                       &mapper_hom);
       if (equal) {
         duplicate_mapping = true;
         break;
@@ -359,6 +366,8 @@ Result<std::vector<GeneratedMapping>> GenerateMappings(
             static_cast<int64_t>(candidates_rendered));
   ctx.Count("rewriting.mappings_emitted",
             static_cast<int64_t>(mappings.size()));
+  ctx.Count("rewriting.hom_step_capped",
+            mapper_hom.step_capped + tgd_equiv.stats().hom_step_capped);
   return mappings;
 }
 

@@ -22,7 +22,7 @@ std::optional<int64_t> ResourceGovernor::FaultAfterFromEnv() {
   return static_cast<int64_t>(value);
 }
 
-Status ResourceGovernor::Trip(Status status) {
+Status ResourceGovernor::Trip(Status status) const {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!tripped_.load(std::memory_order_relaxed)) {
@@ -31,6 +31,15 @@ Status ResourceGovernor::Trip(Status status) {
     }
   }
   return terminal_;
+}
+
+bool ResourceGovernor::CancelRequested() const {
+  if (cancel_flag_ == nullptr ||
+      !cancel_flag_->load(std::memory_order_relaxed)) {
+    return false;
+  }
+  Trip(Status::DeadlineExceeded("run interrupted (shutdown requested)"));
+  return true;
 }
 
 void ResourceGovernor::Cancel(Status status) {

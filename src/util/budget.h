@@ -29,6 +29,11 @@
 // (unit deadline) and draw down a shared run-wide budget. A parent trip
 // propagates into the child on its next charge.
 //
+// Cancel flag: set_cancel_flag(f) trips the governor as soon as any charge
+// or exhausted() reads `*f` true — one relaxed load, no watcher thread.
+// Combined with parent chaining, one flag on a run's root governor unwinds
+// every governed loop below it at its next charge.
+//
 // Deterministic fault injection: InjectFailureAfter(n) forces
 // kResourceExhausted on the (n+1)-th charged step regardless of clocks,
 // and the SEMAP_FAULT_AFTER environment variable (read by
@@ -67,6 +72,9 @@ class ResourceGovernor {
   /// this governor). A tripped parent trips this governor on its next
   /// charge with the parent's status.
   void set_parent(ResourceGovernor* parent) { parent_ = parent; }
+  /// Trip with "run interrupted (shutdown requested)" once `*flag` reads
+  /// true (not owned; must outlive this governor).
+  void set_cancel_flag(const std::atomic<bool>* flag) { cancel_flag_ = flag; }
 
   /// Force kResourceExhausted once `n` steps have been charged.
   void InjectFailureAfter(int64_t n) { fault_after_ = n; }
@@ -87,9 +95,10 @@ class ResourceGovernor {
   /// source) wins.
   void Cancel(Status status);
 
-  /// True once any budget tripped; the governor stays exhausted.
+  /// True once any budget tripped or the cancel flag reads true; the
+  /// governor stays exhausted.
   bool exhausted() const {
-    return tripped_.load(std::memory_order_acquire);
+    return tripped_.load(std::memory_order_acquire) || CancelRequested();
   }
 
   /// OK, or the terminal status that first tripped. The returned
@@ -121,7 +130,10 @@ class ResourceGovernor {
  private:
   using Clock = std::chrono::steady_clock;
 
-  Status Trip(Status status);
+  Status Trip(Status status) const;
+  /// Reads the cancel flag; on true, trips (a const reader may be the
+  /// first to observe it, hence the mutable trip state).
+  bool CancelRequested() const;
 
   // Budgets are configured before the governed work starts and constant
   // afterwards, so they need no synchronization of their own.
@@ -130,14 +142,15 @@ class ResourceGovernor {
   std::optional<int64_t> max_memory_bytes_;
   std::optional<int64_t> fault_after_;
   ResourceGovernor* parent_ = nullptr;
+  const std::atomic<bool>* cancel_flag_ = nullptr;
 
   std::atomic<int64_t> steps_used_{0};
   std::atomic<int64_t> memory_used_{0};
   std::atomic<uint64_t> deadline_check_counter_{0};
   // terminal_ is written exactly once, under mutex_, before tripped_ is
   // released; readers that observe tripped_ may read terminal_ freely.
-  std::atomic<bool> tripped_{false};
-  Status terminal_;
+  mutable std::atomic<bool> tripped_{false};
+  mutable Status terminal_;
   mutable std::mutex mutex_;
   std::vector<std::string> truncations_;
 };

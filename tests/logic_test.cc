@@ -117,6 +117,44 @@ TEST(MinimizeTest, KeepsNecessaryAtoms) {
   EXPECT_EQ(Minimize(q).body.size(), 2u);
 }
 
+// K_n: edges e(vi, vj) for every ordered pair i != j. A homomorphism
+// K_n -> K_m is a proper m-colouring of K_n, so none exists for m < n —
+// and proving that by backtracking takes far more than kMaxHomSteps.
+ConjunctiveQuery Clique(int n, const std::string& prefix) {
+  ConjunctiveQuery q;
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      if (i == j) continue;
+      q.body.push_back(Atom{"e", {Term::Var(prefix + std::to_string(i)),
+                                  Term::Var(prefix + std::to_string(j))}});
+    }
+  }
+  return q;
+}
+
+TEST(HomomorphismTest, StepBoundAnswersNoAndIsCounted) {
+  HomStats stats;
+  EXPECT_FALSE(Contains(Clique(8, "v"), Clique(7, "c"), &stats));
+  EXPECT_EQ(stats.step_capped, 1);
+  EXPECT_EQ(stats.steps, kMaxHomSteps);
+
+  HomStats feasible;
+  EXPECT_TRUE(Contains(Clique(3, "v"), Clique(7, "c"), &feasible));
+  EXPECT_EQ(feasible.step_capped, 0);
+  EXPECT_GT(feasible.steps, 0);
+}
+
+TEST(HomomorphismTest, MissingPredicateFailsWithoutSearching) {
+  HomStats stats;
+  EXPECT_FALSE(Contains(Cq("ans(a) :- p(a), q(a)"), Cq("ans(a) :- p(a)"),
+                        &stats));
+  EXPECT_EQ(stats.steps, 0);
+  // Arity is part of the bucket key: p/1 never maps onto p/2.
+  EXPECT_FALSE(Contains(Cq("ans(a) :- p(a)"), Cq("ans(a) :- p(a, a)"),
+                        &stats));
+  EXPECT_EQ(stats.steps, 0);
+}
+
 TEST(MinimizeTest, CoreOfTriangleWithHead) {
   ConjunctiveQuery q = Cq("ans(a) :- e(a, b), e(b, c), e(c, a)");
   // The 3-cycle with a distinguished node is its own core.

@@ -4,6 +4,8 @@
 // brute-force reference; containment and chase obey their algebraic laws.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <random>
 
 #include "baseline/logical_relations.h"
@@ -270,6 +272,166 @@ TEST_P(ContainmentLawTest, ChaseIsIdempotentUnderConstraints) {
   }
   auto twice = baseline::ChaseQueryWithConstraints(annotated->schema(), once);
   EXPECT_TRUE(logic::Equivalent(once, twice));
+}
+
+// ---- Planned homomorphism search vs brute force ---------------------
+
+// Random term over a small pool: variables, constants, and Skolem terms
+// (one level deep) so function matching and variables binding to
+// function terms are both exercised.
+logic::Term RandomTerm(std::mt19937& rng, const std::string& var_prefix,
+                       bool allow_function = true) {
+  const unsigned roll = rng() % 10;
+  if (roll < 6) return logic::Term::Var(var_prefix + std::to_string(rng() % 4));
+  if (roll < 8 || !allow_function) {
+    return logic::Term::Const(rng() % 2 == 0 ? "a" : "b");
+  }
+  std::vector<logic::Term> args;
+  const unsigned arity = 1 + rng() % 2;
+  for (unsigned i = 0; i < arity; ++i) {
+    args.push_back(RandomTerm(rng, var_prefix, /*allow_function=*/false));
+  }
+  return logic::Term::Func(rng() % 2 == 0 ? "f" : "g", std::move(args));
+}
+
+// Random CQ: few predicates so they repeat, arities mostly fixed per
+// predicate (occasionally not, to exercise the arity bucket key), head of
+// arity `head_arity` over the body's terms or fresh constants.
+logic::ConjunctiveQuery RandomHomQuery(std::mt19937& rng,
+                                       const std::string& var_prefix,
+                                       size_t atoms, size_t head_arity) {
+  static const char* kPredicates[] = {"p", "q", "r"};
+  static const size_t kArity[] = {2, 1, 3};
+  logic::ConjunctiveQuery q;
+  for (size_t i = 0; i < atoms; ++i) {
+    const size_t pred = rng() % 3;
+    size_t arity = kArity[pred];
+    if (rng() % 8 == 0) arity = (arity + 1) % 4;
+    logic::Atom atom;
+    atom.predicate = kPredicates[pred];
+    for (size_t k = 0; k < arity; ++k) {
+      atom.terms.push_back(RandomTerm(rng, var_prefix));
+    }
+    q.body.push_back(std::move(atom));
+  }
+  std::vector<logic::Term> pool;
+  for (const logic::Atom& a : q.body) {
+    pool.insert(pool.end(), a.terms.begin(), a.terms.end());
+  }
+  for (size_t i = 0; i < head_arity; ++i) {
+    q.head.push_back(pool.empty() || rng() % 6 == 0
+                         ? logic::Term::Const("a")
+                         : pool[rng() % pool.size()]);
+  }
+  return q;
+}
+
+bool BruteMatchTerm(const logic::Term& p, const logic::Term& t,
+                    logic::Substitution& sub) {
+  if (p.IsVar()) {
+    auto [it, inserted] = sub.emplace(p.name, t);
+    return inserted || it->second == t;
+  }
+  if (p.kind != t.kind || p.name != t.name || p.args.size() != t.args.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < p.args.size(); ++i) {
+    if (!BruteMatchTerm(p.args[i], t.args[i], sub)) return false;
+  }
+  return true;
+}
+
+// Reference: try every assignment of `from`'s atoms to `to`'s atoms.
+bool BruteHomomorphism(const logic::ConjunctiveQuery& from,
+                       const logic::ConjunctiveQuery& to) {
+  if (from.head.size() != to.head.size()) return false;
+  const size_t n = from.body.size();
+  const size_t m = to.body.size();
+  if (n > 0 && m == 0) return false;
+  std::vector<size_t> choice(n, 0);
+  while (true) {
+    logic::Substitution sub;
+    bool ok = true;
+    for (size_t i = 0; i < from.head.size() && ok; ++i) {
+      ok = BruteMatchTerm(from.head[i], to.head[i], sub);
+    }
+    for (size_t j = 0; j < n && ok; ++j) {
+      const logic::Atom& p = from.body[j];
+      const logic::Atom& t = to.body[choice[j]];
+      ok = p.predicate == t.predicate && p.terms.size() == t.terms.size();
+      for (size_t k = 0; k < p.terms.size() && ok; ++k) {
+        ok = BruteMatchTerm(p.terms[k], t.terms[k], sub);
+      }
+    }
+    if (ok) return true;
+    size_t k = 0;
+    while (k < n && ++choice[k] == m) choice[k++] = 0;
+    if (k == n) return false;
+  }
+}
+
+// A target that often admits a homomorphism: the pattern's image under a
+// random substitution, shuffled, plus a few random atoms.
+logic::ConjunctiveQuery ImageOf(std::mt19937& rng,
+                                const logic::ConjunctiveQuery& from) {
+  logic::Substitution sub;
+  for (const std::string& v : from.Variables()) {
+    sub[v] = RandomTerm(rng, "y");
+  }
+  logic::ConjunctiveQuery to = logic::ApplySubstitution(from, sub);
+  std::shuffle(to.body.begin(), to.body.end(), rng);
+  logic::ConjunctiveQuery extra =
+      RandomHomQuery(rng, "y", rng() % 3, /*head_arity=*/0);
+  to.body.insert(to.body.end(), extra.body.begin(), extra.body.end());
+  return to;
+}
+
+TEST(HomSearchDifferentialTest, AgreesWithBruteForce) {
+  std::mt19937 rng(20070415u);
+  int found = 0;
+  int refuted = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const size_t head_arity = rng() % 4;
+    logic::ConjunctiveQuery from =
+        RandomHomQuery(rng, "x", 1 + rng() % 4, head_arity);
+    logic::ConjunctiveQuery to =
+        rng() % 2 == 0 ? ImageOf(rng, from)
+                       : RandomHomQuery(rng, "y", 1 + rng() % 5, head_arity);
+    const bool expected = BruteHomomorphism(from, to);
+    logic::HomStats stats;
+    std::optional<logic::Substitution> sub =
+        logic::FindHomomorphism(from, to, &stats);
+    ASSERT_EQ(sub.has_value(), expected)
+        << from.ToString() << " -> " << to.ToString();
+    ASSERT_EQ(logic::Contains(from, to, &stats), expected)
+        << from.ToString() << " -> " << to.ToString();
+    EXPECT_EQ(stats.step_capped, 0);
+    if (!expected) {
+      ++refuted;
+      continue;
+    }
+    ++found;
+    // The witness is a real homomorphism: it binds every variable of
+    // `from`, maps the head onto the head and every atom into `to`.
+    for (const std::string& v : from.Variables()) {
+      EXPECT_EQ(sub->count(v), 1u) << v;
+    }
+    logic::ConjunctiveQuery image = logic::ApplySubstitution(from, *sub);
+    EXPECT_EQ(image.head, to.head) << from.ToString() << " -> "
+                                   << to.ToString();
+    for (const logic::Atom& atom : image.body) {
+      EXPECT_NE(std::find(to.body.begin(), to.body.end(), atom),
+                to.body.end())
+          << atom.ToString() << " not in " << to.ToString();
+    }
+    // Minimization keeps the query equivalent (checked by the reference).
+    logic::ConjunctiveQuery core = logic::Minimize(to);
+    EXPECT_TRUE(BruteHomomorphism(to, core) && BruteHomomorphism(core, to))
+        << to.ToString() << " vs " << core.ToString();
+  }
+  // Both verdicts are well represented.
+  EXPECT_GT(found, 500);
+  EXPECT_GT(refuted, 500);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCmTest, ::testing::Range(0, 12));

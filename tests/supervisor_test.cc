@@ -10,8 +10,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -597,6 +599,64 @@ TEST(SupervisorTest, ResumeWithExplainWorksWhenTheHaltedRunHadNoRecorder) {
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_EQ(resumed_recorder.ToJson(), reference);
   std::remove(journal.c_str());
+}
+
+TEST(SupervisorTest, CancelFlagFlippedMidUnitUnwindsItAtTheNextCharge) {
+  std::vector<disc::Correspondence> correspondences;
+  eval::Domain domain = University(&correspondences);
+  const std::string path = testing::TempDir() + "/cancel_mid_unit.ndjson";
+  auto read_events = [&path] {
+    std::ifstream in(path);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+
+  // The first unit's first attempt loses its semantic tiers to an
+  // injected fault and backs off for 300 ms before retrying. The flag
+  // rises during that back-off, i.e. while the unit is running; the
+  // retry's first charge must trip the whole governor chain, so the unit
+  // is discarded as interrupted and the second unit never starts.
+  std::atomic<bool> cancel{false};
+  {
+    obs::EventEmitter events(path);
+    ASSERT_TRUE(events.ok());
+    exec::RunContext ctx;
+    ctx.events = &events;
+    exec::SupervisorOptions options;
+    options.jobs = 1;
+    options.cancel = &cancel;
+    options.pipeline.fault_after = 0;
+    options.fault_attempts = 1;
+    options.unit_attempts = 2;
+    options.backoff.initial_ms = 300;
+    options.backoff.max_ms = 300;
+    std::thread trigger([&] {
+      for (int i = 0; i < 10000; ++i) {
+        if (read_events().find("\"unit_retry\"") != std::string::npos) break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      cancel.store(true);
+    });
+    auto run = exec::RunSupervisedPipeline(domain.source, domain.target,
+                                           correspondences, options, ctx);
+    trigger.join();
+    ASSERT_TRUE(run.ok()) << run.status();
+    EXPECT_TRUE(run->interrupted);
+    EXPECT_TRUE(run->units.empty());
+    EXPECT_TRUE(run->run.mappings.empty());
+  }
+  std::multiset<std::string> types;
+  std::istringstream lines(read_events());
+  std::string line;
+  while (std::getline(lines, line)) {
+    auto event = json::Parse(line);
+    ASSERT_TRUE(event.ok()) << line;
+    types.insert(event->GetString("event"));
+  }
+  EXPECT_EQ(types.count("unit_start"), 1u);
+  EXPECT_EQ(types.count("unit_retry"), 1u);
+  EXPECT_EQ(types.count("unit_interrupted"), 1u);
+  EXPECT_EQ(types.count("unit_done"), 1u);
+  std::remove(path.c_str());
 }
 
 TEST(SupervisorTest, CancelFlagInterruptsBeforeDispatchingUnits) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include <cstdlib>
 #include <sstream>
 #include <thread>
@@ -64,6 +66,29 @@ TEST(GovernorTest, StepBudgetTripsAndStaysTripped) {
   // Sticky: the same terminal status keeps coming back.
   EXPECT_EQ(governor.Charge().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(governor.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(GovernorTest, CancelFlagTripsTheChainAtItsNextCharge) {
+  std::atomic<bool> flag{false};
+  ResourceGovernor root;
+  root.set_cancel_flag(&flag);
+  ResourceGovernor unit;
+  unit.set_parent(&root);
+  EXPECT_TRUE(unit.Charge().ok());
+  EXPECT_FALSE(root.exhausted());
+  flag.store(true);
+  // Readers see the flag without charging; the child trips at its next
+  // charge with the shutdown status.
+  EXPECT_TRUE(root.exhausted());
+  EXPECT_EQ(root.status().message(), "run interrupted (shutdown requested)");
+  Status tripped = unit.Charge();
+  EXPECT_EQ(tripped.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(tripped.message(), "run interrupted (shutdown requested)");
+  EXPECT_TRUE(unit.exhausted());
+  // Sticky, like every other trip.
+  flag.store(false);
+  EXPECT_TRUE(root.exhausted());
+  EXPECT_FALSE(unit.Charge().ok());
 }
 
 TEST(GovernorTest, ExpiredDeadlineTripsOnFirstCharge) {
