@@ -123,21 +123,23 @@ python3 scripts/check_obs_json.py build/obs-json/teams-explain.json
 cmake -B build-asan -S . -DSEMAP_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j "$jobs" --target robustness_test \
   resilient_pipeline_test supervisor_test util_test validate_test \
-  provenance_test store_test crash_matrix_test serve_test
+  provenance_test store_test crash_matrix_test serve_test rewriter_test
 # Note: ctest's -j needs an explicit value here — a bare -j would swallow
 # the -R flag and run the NOT_BUILT placeholders of the unbuilt targets.
 # The crash-injection suites (store, journal, syscall-sweep crash matrix)
 # run under ASan on purpose: a recovery path that touches freed or
 # uninitialized state must fail here, not in production.
 (cd build-asan && ctest --output-on-failure -j "$jobs" \
-  -R 'RobustnessTest|CorpusSweepTest|ResilientPipelineTest|GovernedDiscoveryTest|GovernorTest|StatusTest|DiagTest|GoldenDiagnosticsTest|CrossCheckTest|TgdCheckTest|QuarantineScenarioTest|SupervisorTest|CheckpointTest|ProvenanceRecorderTest|EventEmitterTest|ProvenancePipelineTest|ProvenanceDeterminismTest|ProvenanceWhyNotTest|Crc32Test|FaultEnvTest|JournalTest|MappingStoreTest|CrashMatrixTest|ServeTest|ServeFaultMatrixTest')
+  -R 'RobustnessTest|CorpusSweepTest|ResilientPipelineTest|GovernedDiscoveryTest|GovernorTest|StatusTest|DiagTest|GoldenDiagnosticsTest|CrossCheckTest|TgdCheckTest|QuarantineScenarioTest|SupervisorTest|CheckpointTest|ProvenanceRecorderTest|EventEmitterTest|ProvenancePipelineTest|ProvenanceDeterminismTest|ProvenanceWhyNotTest|Crc32Test|FaultEnvTest|JournalTest|MappingStoreTest|CrashMatrixTest|ServeTest|ServeFaultMatrixTest|CompiledSideTest|CompiledSideConcurrencyTest')
 
 # TSan pass over the concurrent paths: the supervised worker pool
 # (--jobs=4 equality tests included), the shared governor, the shared
-# term interner the pool hammers from every worker, and the serial
-# pipeline it must keep matching.
+# term interner the pool hammers from every worker, the serial pipeline
+# it must keep matching, and threads racing to a schema side's first
+# compiled() call.
 cmake -B build-tsan -S . -DSEMAP_SANITIZE=THREAD -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j "$jobs" --target supervisor_test \
-  resilient_pipeline_test util_test provenance_test serve_test interner_test
+  resilient_pipeline_test util_test provenance_test serve_test interner_test \
+  rewriter_test
 (cd build-tsan && ctest --output-on-failure -j "$jobs" \
-  -R 'SupervisorTest|CheckpointTest|ResilientPipelineTest|GovernedDiscoveryTest|GovernorTest|GovernorConcurrencyTest|BackoffTest|JsonTest|ProvenancePipelineTest|ProvenanceDeterminismTest|EventEmitterTest|ServeTest|InternerTest')
+  -R 'SupervisorTest|CheckpointTest|ResilientPipelineTest|GovernedDiscoveryTest|GovernorTest|GovernorConcurrencyTest|BackoffTest|JsonTest|ProvenancePipelineTest|ProvenanceDeterminismTest|EventEmitterTest|ServeTest|InternerTest|CompiledSideConcurrencyTest')

@@ -150,14 +150,14 @@ std::vector<Atom> ChaseAtoms(const rel::RelationalSchema& schema,
 
 logic::ConjunctiveQuery ChaseQueryWithConstraints(
     const rel::RelationalSchema& schema, logic::ConjunctiveQuery query,
-    const std::vector<ColumnFd>& extra_fds, const ChaseOptions& options) {
+    const std::vector<sem::TableFd>& extra_fds, const ChaseOptions& options) {
   return ChaseQueryWithConstraints(schema, std::move(query), extra_fds, {},
                                    options);
 }
 
 logic::ConjunctiveQuery ChaseQueryWithConstraints(
     const rel::RelationalSchema& schema, logic::ConjunctiveQuery query,
-    const std::vector<ColumnFd>& extra_fds,
+    const std::vector<sem::TableFd>& extra_fds,
     const std::vector<sem::CrossTableFd>& cross_fds,
     const ChaseOptions& options) {
   if (options.apply_rics) {
@@ -166,16 +166,16 @@ logic::ConjunctiveQuery ChaseQueryWithConstraints(
 
   // Assemble the EGDs: the primary key of each table plus the extras
   // (unless the caller pre-assembled the full list).
-  std::vector<ColumnFd> assembled;
+  std::vector<sem::TableFd> assembled;
   if (!options.extra_fds_complete) {
     assembled = extra_fds;
     for (const rel::Table& table : schema.tables()) {
       if (table.primary_key().empty()) continue;
       assembled.push_back(
-          ColumnFd{table.name(), table.primary_key(), table.columns()});
+          sem::TableFd{table.name(), table.primary_key(), table.columns()});
     }
   }
-  const std::vector<ColumnFd>& fds =
+  const std::vector<sem::TableFd>& fds =
       options.extra_fds_complete ? extra_fds : assembled;
 
   // Applicability screen: an EGD can only fire on a same-table atom pair
@@ -248,7 +248,7 @@ logic::ConjunctiveQuery ChaseQueryWithConstraints(
   };
   std::unordered_map<std::string, std::vector<FdPlan>> fd_plans;
   if (same_table_pair) {
-    for (const ColumnFd& fd : fds) {
+    for (const sem::TableFd& fd : fds) {
       const rel::Table* table = schema.FindTable(fd.table);
       if (table == nullptr || fd.lhs.empty()) continue;
       FdPlan plan;

@@ -45,30 +45,23 @@ struct ChaseOptions {
   bool apply_rics = true;
   /// In ChaseQueryWithConstraints: treat `extra_fds` as the complete EGD
   /// set and skip assembling the per-table primary-key FDs. Callers that
-  /// chase many queries against one schema pre-append the key FDs once
-  /// (in `schema.tables()` order, matching the default assembly) instead
-  /// of copying every table's column list per call.
+  /// chase many queries against one schema pass the list assembled once
+  /// (sem::CompiledSide::egds, key FDs in `schema.tables()` order,
+  /// matching the default assembly) instead of copying every table's
+  /// column list per call.
   bool extra_fds_complete = false;
 };
 
-/// \brief A column-level functional dependency usable as an EGD during the
-/// chase (primary keys induce one per table automatically; callers may add
-/// semantically derived ones, cf. sem::DeriveTableFds).
-struct ColumnFd {
-  std::string table;
-  std::vector<std::string> lhs;
-  std::vector<std::string> rhs;
-};
-
 /// \brief Chase a whole query over the schema's RICs *and* functional
-/// dependencies (primary keys plus `extra_fds`): tgds add referenced
-/// atoms; EGDs unify the determined columns of same-table atoms agreeing
-/// on the determinant (which may rename head variables). Queries
+/// dependencies (primary keys plus `extra_fds`, e.g. the s-tree FDs of
+/// sem::DeriveTableFds): tgds add referenced atoms; EGDs unify the
+/// determined columns of same-table atoms agreeing on the determinant
+/// (which may rename head variables). Queries
 /// equivalent under the constraints become plainly equivalent after this,
 /// which is how the evaluation compares generated mappings to benchmarks.
 logic::ConjunctiveQuery ChaseQueryWithConstraints(
     const rel::RelationalSchema& schema, logic::ConjunctiveQuery query,
-    const std::vector<ColumnFd>& extra_fds = {},
+    const std::vector<sem::TableFd>& extra_fds = {},
     const ChaseOptions& options = {});
 
 /// \brief Overload that additionally applies cross-table EGDs
@@ -76,7 +69,7 @@ logic::ConjunctiveQuery ChaseQueryWithConstraints(
 /// columns agree on columns realizing the same CM attribute.
 logic::ConjunctiveQuery ChaseQueryWithConstraints(
     const rel::RelationalSchema& schema, logic::ConjunctiveQuery query,
-    const std::vector<ColumnFd>& extra_fds,
+    const std::vector<sem::TableFd>& extra_fds,
     const std::vector<sem::CrossTableFd>& cross_fds,
     const ChaseOptions& options = {});
 

@@ -5,7 +5,7 @@
 #include <numeric>
 
 #include "logic/containment.h"
-#include "semantics/fd.h"
+#include "semantics/compiled_side.h"
 
 namespace semap::eval {
 
@@ -15,18 +15,6 @@ double Seconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-}  // namespace
-
-namespace {
-
-std::vector<baseline::ColumnFd> SemanticFds(const sem::AnnotatedSchema& side) {
-  std::vector<baseline::ColumnFd> out;
-  for (const sem::TableFd& fd : sem::DeriveSchemaFds(side)) {
-    out.push_back(baseline::ColumnFd{fd.table, fd.lhs, fd.rhs});
-  }
-  return out;
 }
 
 // Both normal forms of one query under a side's constraints: the EGD-only
@@ -41,15 +29,18 @@ struct NormalForms {
 };
 
 NormalForms Normalize(const logic::ConjunctiveQuery& q,
-                      const rel::RelationalSchema& schema,
-                      const std::vector<baseline::ColumnFd>& fds,
-                      const std::vector<sem::CrossTableFd>& cross) {
+                      const sem::AnnotatedSchema& side) {
+  const sem::CompiledSide& compiled = side.compiled();
   NormalForms out;
   baseline::ChaseOptions egd_only;
   egd_only.apply_rics = false;
-  out.egd =
-      baseline::ChaseQueryWithConstraints(schema, q, fds, cross, egd_only);
-  out.full = baseline::ChaseQueryWithConstraints(schema, out.egd, fds, cross);
+  egd_only.extra_fds_complete = true;
+  out.egd = baseline::ChaseQueryWithConstraints(
+      side.schema(), q, compiled.egds, compiled.cross_fds, egd_only);
+  baseline::ChaseOptions full;
+  full.extra_fds_complete = true;
+  out.full = baseline::ChaseQueryWithConstraints(
+      side.schema(), out.egd, compiled.egds, compiled.cross_fds, full);
   return out;
 }
 
@@ -57,21 +48,17 @@ bool EquivalentUnderConstraints(const NormalForms& a, const NormalForms& b) {
   return logic::Contains(b.egd, a.full) && logic::Contains(a.egd, b.full);
 }
 
-bool MatchesWithFds(const logic::Tgd& generated, const logic::Tgd& benchmark,
-                    const sem::AnnotatedSchema& source,
-                    const sem::AnnotatedSchema& target,
-                    const std::vector<baseline::ColumnFd>& source_fds,
-                    const std::vector<baseline::ColumnFd>& target_fds,
-                    const std::vector<sem::CrossTableFd>& source_cross,
-                    const std::vector<sem::CrossTableFd>& target_cross) {
+}  // namespace
+
+bool MatchesBenchmark(const logic::Tgd& generated, const logic::Tgd& benchmark,
+                      const sem::AnnotatedSchema& source,
+                      const sem::AnnotatedSchema& target) {
   if (generated.source.head.size() != benchmark.source.head.size() ||
       generated.target.head.size() != benchmark.target.head.size()) {
     return false;
   }
-  NormalForms g_src = Normalize(generated.source, source.schema(), source_fds,
-                                source_cross);
-  NormalForms g_tgt = Normalize(generated.target, target.schema(), target_fds,
-                                target_cross);
+  NormalForms g_src = Normalize(generated.source, source);
+  NormalForms g_tgt = Normalize(generated.target, target);
   // The frontier orders of independently produced mappings may differ; try
   // every alignment of the benchmark's frontier (frontiers are tiny).
   const size_t n = benchmark.source.head.size();
@@ -83,27 +70,14 @@ bool MatchesWithFds(const logic::Tgd& generated, const logic::Tgd& benchmark,
       permuted.source.head[i] = benchmark.source.head[perm[i]];
       permuted.target.head[i] = benchmark.target.head[perm[i]];
     }
-    NormalForms b_src = Normalize(permuted.source, source.schema(),
-                                  source_fds, source_cross);
-    NormalForms b_tgt = Normalize(permuted.target, target.schema(),
-                                  target_fds, target_cross);
+    NormalForms b_src = Normalize(permuted.source, source);
+    NormalForms b_tgt = Normalize(permuted.target, target);
     if (EquivalentUnderConstraints(g_src, b_src) &&
         EquivalentUnderConstraints(g_tgt, b_tgt)) {
       return true;
     }
   } while (std::next_permutation(perm.begin(), perm.end()));
   return false;
-}
-
-}  // namespace
-
-bool MatchesBenchmark(const logic::Tgd& generated, const logic::Tgd& benchmark,
-                      const sem::AnnotatedSchema& source,
-                      const sem::AnnotatedSchema& target) {
-  return MatchesWithFds(generated, benchmark, source, target,
-                        SemanticFds(source), SemanticFds(target),
-                        sem::DeriveCrossTableFds(source),
-                        sem::DeriveCrossTableFds(target));
 }
 
 CaseResult ScoreCase(const std::string& name,
@@ -115,18 +89,13 @@ CaseResult ScoreCase(const std::string& name,
   result.name = name;
   result.generated = generated.size();
   result.expected = benchmark.size();
-  std::vector<baseline::ColumnFd> source_fds = SemanticFds(source);
-  std::vector<baseline::ColumnFd> target_fds = SemanticFds(target);
-  std::vector<sem::CrossTableFd> source_cross = sem::DeriveCrossTableFds(source);
-  std::vector<sem::CrossTableFd> target_cross = sem::DeriveCrossTableFds(target);
   std::vector<bool> benchmark_used(benchmark.size(), false);
   for (const std::vector<logic::Tgd>& variants : generated) {
     bool mapping_matched = false;
     for (size_t i = 0; i < benchmark.size() && !mapping_matched; ++i) {
       if (benchmark_used[i]) continue;
       for (const logic::Tgd& variant : variants) {
-        if (MatchesWithFds(variant, benchmark[i], source, target, source_fds,
-                           target_fds, source_cross, target_cross)) {
+        if (MatchesBenchmark(variant, benchmark[i], source, target)) {
           benchmark_used[i] = true;
           ++result.matched;
           mapping_matched = true;

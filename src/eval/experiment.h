@@ -57,8 +57,8 @@ struct MethodResult {
 /// \brief Mapping equality per the paper's strict criterion — the same
 /// pair of connections — decided as tgd equivalence *under the schema
 /// constraints*: both source sides are chased over the source RICs, key
-/// FDs and CM-derived FDs (sem::DeriveSchemaFds), and both target sides
-/// likewise, before comparing.
+/// FDs, CM-derived FDs and cross-table FDs (the side's compiled form,
+/// sem::CompiledSide), and both target sides likewise, before comparing.
 bool MatchesBenchmark(const logic::Tgd& generated, const logic::Tgd& benchmark,
                       const sem::AnnotatedSchema& source,
                       const sem::AnnotatedSchema& target);

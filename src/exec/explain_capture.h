@@ -31,7 +31,7 @@ inline void CollectSkolemTerms(const logic::Term& term,
     if (!seen) {
       obs::SkolemDecision decision;
       decision.function = term.name;
-      // The naming convention of rewriting/inverse_rules.h encodes the
+      // The naming convention of semantics/inverse_rules.h encodes the
       // merge decision: id_<Class> terms merge instances on a composite
       // key across tables; sk_<table>_<var> terms are table-local
       // (unidentified concept, no cross-table merge).
@@ -77,8 +77,8 @@ inline std::vector<obs::SkolemDecision> SkolemDecisionsOf(
 /// rules of the tables it mentions, not in the TGD text.
 ///
 /// RuleRange is any range of rule-like objects with `head` and
-/// `table_atom` logic::Atom members (rew::InverseRule — taken as a
-/// template so this header does not pull rewriting/ into exec/'s
+/// `table_atom` logic::Atom members (sem::InverseRule — taken as a
+/// template so this header does not pull semantics/ into exec/'s
 /// interface).
 template <typename RuleRange, typename TableSet>
 inline std::vector<obs::SkolemDecision> SkolemDecisionsFromRules(

@@ -43,7 +43,7 @@ class Value;
 namespace semap::obs {
 
 /// \brief One Skolem function the emitted TGD's target side applies, with
-/// the merge decision its name encodes (rewriting/inverse_rules.h):
+/// the merge decision its name encodes (semantics/inverse_rules.h):
 /// "key-merge" for id_<Class> terms (instances merged on a composite
 /// key), "table-local" for sk_<table>_<var> terms (unidentified concept,
 /// no cross-table merge).

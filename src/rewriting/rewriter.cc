@@ -744,14 +744,15 @@ Result<std::vector<ConjunctiveQuery>> Rewrite(const Request& req,
 }
 
 Result<std::vector<ConjunctiveQuery>> RewriteQuery(
-    const ConjunctiveQuery& cm_query, const std::vector<InverseRule>& rules,
-    const RewriteOptions& options) {
+    const ConjunctiveQuery& cm_query,
+    const std::vector<sem::InverseRule>& rules, const RewriteOptions& options) {
   return RewriteQuery(cm_query, rules, options, exec::RunContext{});
 }
 
 Result<std::vector<ConjunctiveQuery>> RewriteQuery(
-    const ConjunctiveQuery& cm_query, const std::vector<InverseRule>& rules,
-    const RewriteOptions& options, const exec::RunContext& run_ctx) {
+    const ConjunctiveQuery& cm_query,
+    const std::vector<sem::InverseRule>& rules, const RewriteOptions& options,
+    const exec::RunContext& run_ctx) {
   // Deprecated shim: a throwaway session per call loses the cross-call
   // memoization; long-lived callers should hold a RewriteSession and use
   // Rewrite directly.

@@ -28,7 +28,7 @@
 
 #include "exec/run_context.h"
 #include "logic/containment.h"
-#include "rewriting/inverse_rules.h"
+#include "semantics/inverse_rules.h"
 #include "rewriting/session.h"
 #include "util/budget.h"
 #include "util/result.h"
@@ -86,11 +86,11 @@ Result<std::vector<logic::ConjunctiveQuery>> Rewrite(
 /// cross-call memoization is lost; they remain for pre-session call sites.
 Result<std::vector<logic::ConjunctiveQuery>> RewriteQuery(
     const logic::ConjunctiveQuery& cm_query,
-    const std::vector<InverseRule>& rules, const RewriteOptions& options,
+    const std::vector<sem::InverseRule>& rules, const RewriteOptions& options,
     const exec::RunContext& ctx);
 Result<std::vector<logic::ConjunctiveQuery>> RewriteQuery(
     const logic::ConjunctiveQuery& cm_query,
-    const std::vector<InverseRule>& rules, const RewriteOptions& options);
+    const std::vector<sem::InverseRule>& rules, const RewriteOptions& options);
 
 }  // namespace semap::rew
 

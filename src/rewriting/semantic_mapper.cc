@@ -7,10 +7,9 @@
 #include "exec/explain_capture.h"
 #include "logic/containment.h"
 #include "rewriting/algebra.h"
-#include "rewriting/inverse_rules.h"
 #include "rewriting/rewriter.h"
+#include "semantics/compiled_side.h"
 #include "semantics/encoder.h"
-#include "semantics/fd.h"
 
 namespace semap::rew {
 
@@ -88,55 +87,47 @@ Result<std::vector<GeneratedMapping>> GenerateMappings(
                          discoverer.Run());
   const std::vector<disc::LiftedCorrespondence>& lifted = discoverer.lifted();
 
-  // One TermFactory for the whole run: inverse-rule construction
-  // canonicalizes its output through it, and everything downstream (both
-  // sessions, the tgd cache) shares the same hash-consed store.
-  logic::TermFactory run_factory;
-  SEMAP_ASSIGN_OR_RETURN(std::vector<InverseRule> source_rules,
-                         InverseRulesForSchema(source, &run_factory));
-  SEMAP_ASSIGN_OR_RETURN(std::vector<InverseRule> target_rules,
-                         InverseRulesForSchema(target, &run_factory));
+  // Inverse rules and constraint lists depend only on each side's
+  // s-trees and CM: read the sides' compiled forms (built on first use).
+  const sem::CompiledSide& source_side = source.compiled();
+  SEMAP_RETURN_NOT_OK(source_side.rules.status());
+  const sem::CompiledSide& target_side = target.compiled();
+  SEMAP_RETURN_NOT_OK(target_side.rules.status());
+  const std::vector<sem::InverseRule>& source_rules = *source_side.rules;
+  const std::vector<sem::InverseRule>& target_rules = *target_side.rules;
 
   // Homomorphism searches run here, outside the rewriting sessions'
   // caches (normalizer minimization, uncached tgd comparisons).
   logic::HomStats mapper_hom;
-  // Normalizers for rewriting comparison: chase under the schema's RICs,
-  // key FDs and CM-derived FDs, then minimize.
-  auto make_normalizer = [&mapper_hom](const sem::AnnotatedSchema& side) {
-    std::vector<baseline::ColumnFd> fds;
-    for (const sem::TableFd& fd : sem::DeriveSchemaFds(side)) {
-      fds.push_back(baseline::ColumnFd{fd.table, fd.lhs, fd.rhs});
-    }
-    // Pre-append the per-table key FDs (same order the chase would
-    // assemble them in) so the chase reuses one complete EGD list across
-    // the hundreds of normalize calls of a run.
-    for (const rel::Table& table : side.schema().tables()) {
-      if (table.primary_key().empty()) continue;
-      fds.push_back(baseline::ColumnFd{table.name(), table.primary_key(),
-                                       table.columns()});
-    }
-    std::vector<sem::CrossTableFd> cross = sem::DeriveCrossTableFds(side);
-    const rel::RelationalSchema* schema = &side.schema();
-    // EGDs only: cheap, never grows the query, and suffices to collapse
-    // rewritings that read an attribute from a second key-joined row.
+  // Normalizers for rewriting comparison: chase under the side's key,
+  // CM-derived and cross-table FDs, then minimize. EGDs only: cheap,
+  // never grows the query, and suffices to collapse rewritings that read
+  // an attribute from a second key-joined row. The lambdas point at the
+  // compiled lists, so copying one into each candidate's options copies
+  // no FD list, and the chase assembles none per call.
+  auto make_normalizer = [&mapper_hom](const sem::AnnotatedSchema& side,
+                                       const sem::CompiledSide& compiled) {
     baseline::ChaseOptions chase_opts;
     chase_opts.apply_rics = false;
     chase_opts.extra_fds_complete = true;
-    return [schema, fds, cross, chase_opts,
+    return [schema = &side.schema(), egds = &compiled.egds,
+            cross = &compiled.cross_fds, chase_opts,
             hom = &mapper_hom](const ConjunctiveQuery& q) {
       return logic::Minimize(baseline::ChaseQueryWithConstraints(
-                                 *schema, q, fds, cross, chase_opts),
+                                 *schema, q, *egds, *cross, chase_opts),
                              hom);
     };
   };
-  auto source_normalize = make_normalizer(source);
-  auto target_normalize = make_normalizer(target);
+  auto source_normalize = make_normalizer(source, source_side);
+  auto target_normalize = make_normalizer(target, target_side);
 
-  // One rewriting session per schema side for the whole run: the inverse
-  // rules are interned and indexed once, and the viability / normalize /
-  // equivalence memo tables persist across candidates. A third,
-  // mapper-level cache memoizes the tgd-side equivalence checks of the
-  // variant and duplicate filters.
+  // One TermFactory for the whole run, shared by both sessions and the
+  // tgd cache. One rewriting session per schema side: the inverse rules
+  // are interned (source side first) and indexed once, and the viability
+  // / normalize / equivalence memo tables persist across candidates. A
+  // third, mapper-level cache memoizes the tgd-side equivalence checks of
+  // the variant and duplicate filters.
+  logic::TermFactory run_factory;
   RewriteSession source_session(source_rules, options.tuning, &run_factory);
   RewriteSession target_session(target_rules, options.tuning, &run_factory);
   logic::EquivCache tgd_equiv(&run_factory);

@@ -2,7 +2,7 @@
 
 namespace semap::rew {
 
-RewriteSession::RewriteSession(const std::vector<InverseRule>& rules,
+RewriteSession::RewriteSession(const std::vector<sem::InverseRule>& rules,
                                Tuning tuning, logic::TermFactory* factory)
     : tuning_(tuning),
       owned_interner_(factory == nullptr ? new logic::Interner() : nullptr),
@@ -11,7 +11,7 @@ RewriteSession::RewriteSession(const std::vector<InverseRule>& rules,
   equiv_.use_memo = tuning_.use_memo;
   equiv_.use_signatures = tuning_.use_signatures;
   rules_.reserve(rules.size());
-  for (const InverseRule& rule : rules) {
+  for (const sem::InverseRule& rule : rules) {
     Rule entry;
     entry.rule = &rule;
     entry.head = interner_->Intern(rule.head);

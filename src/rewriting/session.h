@@ -30,7 +30,7 @@
 
 #include "logic/interner.h"
 #include "logic/memo.h"
-#include "rewriting/inverse_rules.h"
+#include "semantics/inverse_rules.h"
 
 namespace semap::rew {
 
@@ -52,7 +52,7 @@ class RewriteSession {
   /// dense id of the table predicate (used for instance matching and the
   /// canonical duplicate keys without touching strings).
   struct Rule {
-    const InverseRule* rule = nullptr;
+    const sem::InverseRule* rule = nullptr;
     logic::AtomRef head = nullptr;
     logic::AtomRef table_atom = nullptr;
     int table_pred_id = -1;
@@ -60,10 +60,10 @@ class RewriteSession {
 
   /// `rules` must outlive the session. When `factory` is non-null the
   /// session interns through it instead of an owned interner — pass the
-  /// run's shared TermFactory (the one InverseRulesForSchema canonicalized
-  /// the rules through) so both schema sides and the mapper-level caches
-  /// share one canonical store; the factory must outlive the session.
-  explicit RewriteSession(const std::vector<InverseRule>& rules,
+  /// run's shared TermFactory so both schema sides and the mapper-level
+  /// caches share one canonical store; the factory must outlive the
+  /// session.
+  explicit RewriteSession(const std::vector<sem::InverseRule>& rules,
                           Tuning tuning = Tuning(),
                           logic::TermFactory* factory = nullptr);
   RewriteSession(const RewriteSession&) = delete;

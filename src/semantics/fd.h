@@ -23,6 +23,7 @@ struct TableFd {
   std::vector<std::string> lhs;
   std::vector<std::string> rhs;
 
+  bool operator==(const TableFd&) const = default;
   std::string ToString() const;
 };
 
@@ -48,6 +49,7 @@ struct CrossTableFd {
   std::vector<std::string> key_b;
   std::string col_b;
 
+  bool operator==(const CrossTableFd&) const = default;
   std::string ToString() const;
 };
 

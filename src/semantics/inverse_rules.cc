@@ -1,4 +1,4 @@
-#include "rewriting/inverse_rules.h"
+#include "semantics/inverse_rules.h"
 
 #include <algorithm>
 #include <map>
@@ -6,27 +6,20 @@
 
 #include "semantics/encoder.h"
 
-namespace semap::rew {
+namespace semap::sem {
 
 using logic::Atom;
 using logic::Substitution;
 using logic::Term;
 
 Result<std::vector<InverseRule>> InverseRulesForTable(
-    const cm::CmGraph& graph, const rel::Table& table_def,
-    const sem::STree& stree) {
-  return InverseRulesForTable(graph, table_def, stree, nullptr);
-}
-
-Result<std::vector<InverseRule>> InverseRulesForTable(
-    const cm::CmGraph& graph, const rel::Table& table_def,
-    const sem::STree& stree, logic::TermFactory* factory) {
-  sem::Fragment fragment = sem::FragmentFromSTree(stree);
+    const cm::CmGraph& graph, const rel::Table& table_def, const STree& stree) {
+  Fragment fragment = FragmentFromSTree(stree);
   std::vector<std::string> var_of_node;
   SEMAP_ASSIGN_OR_RETURN(
       logic::ConjunctiveQuery encoded,
-      sem::EncodeFragment(graph, fragment, table_def.columns(), stree.table,
-                          &var_of_node));
+      EncodeFragment(graph, fragment, table_def.columns(), stree.table,
+                     &var_of_node));
 
   std::vector<Term> column_vars;
   column_vars.reserve(table_def.columns().size());
@@ -50,8 +43,8 @@ Result<std::vector<InverseRule>> InverseRulesForTable(
       std::vector<std::string> key_cols;
       bool complete = true;
       for (const std::string& ka : key_attrs) {
-        const sem::ColumnBinding* found = nullptr;
-        for (const sem::ColumnBinding& b : stree.bindings) {
+        const ColumnBinding* found = nullptr;
+        for (const ColumnBinding& b : stree.bindings) {
           if (b.node == static_cast<int>(i) && b.attribute == ka) {
             found = &b;
             break;
@@ -92,36 +85,7 @@ Result<std::vector<InverseRule>> InverseRulesForTable(
     rules.push_back(
         InverseRule{logic::ApplySubstitution(atom, id_subst), table_atom});
   }
-  if (factory != nullptr) {
-    // Canonicalize the produced structures: downstream interning of these
-    // heads / table atoms (session indexes, equivalence caches sharing the
-    // factory) becomes a hash hit returning the same handle.
-    for (const InverseRule& rule : rules) {
-      factory->Intern(rule.head);
-      factory->Intern(rule.table_atom);
-    }
-  }
   return rules;
 }
 
-Result<std::vector<InverseRule>> InverseRulesForSchema(
-    const sem::AnnotatedSchema& side) {
-  return InverseRulesForSchema(side, nullptr);
-}
-
-Result<std::vector<InverseRule>> InverseRulesForSchema(
-    const sem::AnnotatedSchema& side, logic::TermFactory* factory) {
-  std::vector<InverseRule> out;
-  for (const auto& [table, stree] : side.semantics()) {
-    const rel::Table* table_def = side.schema().FindTable(table);
-    if (table_def == nullptr) continue;
-    SEMAP_ASSIGN_OR_RETURN(
-        std::vector<InverseRule> rules,
-        InverseRulesForTable(side.graph(), *table_def, stree, factory));
-    out.insert(out.end(), std::make_move_iterator(rules.begin()),
-               std::make_move_iterator(rules.end()));
-  }
-  return out;
-}
-
-}  // namespace semap::rew
+}  // namespace semap::sem

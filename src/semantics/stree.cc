@@ -188,6 +188,7 @@ Status AnnotatedSchema::AddSemantics(STree stree) {
                                  "' already attached");
   }
   semantics_.emplace(stree.table, std::move(stree));
+  compiled_ = NewCompiledSlot();
   return Status::OK();
 }
 

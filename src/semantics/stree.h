@@ -82,6 +82,8 @@ class STree {
   std::string ToString(const cm::CmGraph& graph) const;
 };
 
+struct CompiledSide;  // semantics/compiled_side.h
+
 /// \brief One side (source or target) of a mapping problem.
 class AnnotatedSchema {
  public:
@@ -94,6 +96,7 @@ class AnnotatedSchema {
   const cm::CmGraph& graph() const { return *graph_; }
 
   /// Attach the semantics of one table (validates against schema + graph).
+  /// Invalidates compiled(): the schema gets a fresh, unbuilt slot.
   Status AddSemantics(STree stree);
 
   const STree* FindSemantics(const std::string& table) const;
@@ -108,10 +111,21 @@ class AnnotatedSchema {
   std::optional<std::pair<int, std::string>> AttributeForColumn(
       const rel::ColumnRef& ref) const;
 
+  /// The side's compiled form: inverse rules, EGD list and cross-table
+  /// FDs (semantics/compiled_side.h). Built on the first call, exactly
+  /// once even when threads race to it, and shared by copies of this
+  /// schema until one of them is mutated. The reference stays valid until
+  /// this schema is mutated, assigned or destroyed.
+  const CompiledSide& compiled() const;
+
  private:
+  struct CompiledSlot;
+  static std::shared_ptr<CompiledSlot> NewCompiledSlot();
+
   rel::RelationalSchema schema_;
   std::shared_ptr<cm::CmGraph> graph_;  // shared: STrees index into it
   std::map<std::string, STree> semantics_;
+  std::shared_ptr<CompiledSlot> compiled_ = NewCompiledSlot();
 };
 
 }  // namespace semap::sem

@@ -103,7 +103,7 @@ TEST(ChaseQueryTest, FdUnifiesDependentColumns) {
 TEST(ChaseQueryTest, ExtraFdApplied) {
   auto s = rel::ParseSchema("table t(k, a, b);");  // no primary key
   ASSERT_TRUE(s.ok());
-  std::vector<ColumnFd> fds = {{"t", {"a"}, {"b"}}};
+  std::vector<sem::TableFd> fds = {{"t", {"a"}, {"b"}}};
   auto q = logic::ParseCq("ans(b1, b2) :- t(k1, a, b1), t(k2, a, b2)");
   auto chased = ChaseQueryWithConstraints(*s, *q, fds);
   EXPECT_EQ(chased.head[0], chased.head[1]);

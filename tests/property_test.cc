@@ -13,7 +13,7 @@
 #include "discovery/tree_search.h"
 #include "logic/containment.h"
 #include "logic/parser.h"
-#include "rewriting/inverse_rules.h"
+#include "semantics/compiled_side.h"
 #include "semantics/er2rel.h"
 #include "semantics/fd.h"
 
@@ -84,9 +84,9 @@ TEST_P(RandomCmTest, InverseRulesCoverEverySemanticAtom) {
   cm::ConceptualModel model = RandomModel(rng, 4);
   auto annotated = sem::Er2Rel(model, "random");
   ASSERT_TRUE(annotated.ok());
-  auto rules = rew::InverseRulesForSchema(*annotated);
+  const auto& rules = annotated->compiled().rules;
   ASSERT_TRUE(rules.ok());
-  for (const rew::InverseRule& rule : *rules) {
+  for (const sem::InverseRule& rule : *rules) {
     // Heads only mention variables of their table atom (or Skolems over
     // them).
     std::set<std::string> table_vars;
